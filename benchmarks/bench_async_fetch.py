@@ -1,15 +1,15 @@
 """Scaling — batched async fetching vs the sequential fetch walk.
 
 The paper's crawl spends most of its wall-clock waiting on the network: each
-of the ~120,000 origins costs a round-trip through a VPN exit.  The async
-batched fetch layer (:class:`repro.crawler.fetcher.AsyncFetcher` over a
-thread-offloading :class:`~repro.crawler.fetcher.SyncTransportAdapter`)
-overlaps those waits by keeping up to ``max_in_flight`` requests in flight.
+of the ~120,000 origins costs a round-trip through a VPN exit.  The fetcher
+(:meth:`repro.crawler.fetcher.Fetcher.fetch_many`) overlaps those waits by
+keeping up to ``max_in_flight`` requests in flight on one event loop.
 
 This harness makes the latency *real*: it wraps the simulated transport so
-every send genuinely sleeps its drawn latency (scaled down to keep the
-benchmark fast), then fetches the same origins sequentially and batched and
-reports records-per-second for both.  The batched walk must beat — and in
+every send genuinely waits out its drawn latency (scaled down to keep the
+benchmark fast), then fetches the same origins with one request in flight
+(the sequential walk) and with ``MAX_IN_FLIGHT``, and reports
+records-per-second for both.  The batched walk must beat — and in
 practice approaches ``max_in_flight`` times — the sequential one, while
 returning exactly the same responses; both properties are asserted.
 
@@ -25,12 +25,7 @@ import os
 import random
 import time
 
-from repro.crawler.fetcher import (
-    AsyncFetcher,
-    Fetcher,
-    SimulatedTransport,
-    SyncTransportAdapter,
-)
+from repro.crawler.fetcher import Fetcher, SimulatedTransport
 from repro.crawler.http import Request, Response
 from repro.webgen.profiles import get_profile
 from repro.webgen.server import SyntheticWeb
@@ -55,12 +50,12 @@ BENCHMARK_SEED = 2025
 TARGET_SPEEDUP = 2.0
 
 
-class BlockingLatencyTransport:
-    """Simulated transport whose drawn latency is genuinely slept.
+class SleepingLatencyTransport:
+    """Simulated transport whose drawn latency is genuinely waited out.
 
     Turns the virtual ``elapsed_ms`` of :class:`SimulatedTransport` into real
     wall-clock (scaled by ``sleep_scale``), which is the workload shape a
-    real-HTTP transport would have — and exactly what the async layer is
+    real-HTTP transport would have — and exactly what concurrent fetching is
     meant to overlap.
     """
 
@@ -68,17 +63,26 @@ class BlockingLatencyTransport:
         self.inner = inner
         self.sleep_scale = sleep_scale
 
-    def send(self, request: Request) -> Response:
-        response = self.inner.send(request)
-        time.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
+    async def send(self, request: Request) -> Response:
+        response = await self.inner.send(request)
+        await asyncio.sleep(response.elapsed_ms / 1000.0 * self.sleep_scale)
         return response
 
 
-def _transport(web: SyntheticWeb) -> BlockingLatencyTransport:
-    return BlockingLatencyTransport(SimulatedTransport(
+def _transport(web: SyntheticWeb) -> SleepingLatencyTransport:
+    return SleepingLatencyTransport(SimulatedTransport(
         web, latency_ms=LATENCY_MS,
         rng_factory=lambda host: random.Random(
             stable_seed(BENCHMARK_SEED, "transport", "bd", host))))
+
+
+def _fetch_all(web: SyntheticWeb, urls: list[str], max_in_flight: int):
+    """Fetch ``urls`` over a fresh transport; returns (responses, seconds)."""
+    fetcher = Fetcher(_transport(web))
+    started = time.perf_counter()
+    responses = asyncio.run(fetcher.fetch_many(
+        urls, client_country="bd", via_vpn=True, max_in_flight=max_in_flight))
+    return responses, time.perf_counter() - started
 
 
 def test_batched_fetch_throughput(reporter) -> None:
@@ -86,17 +90,8 @@ def test_batched_fetch_throughput(reporter) -> None:
     web = SyntheticWeb(sites)
     urls = [f"https://{site.domain}/" for site in sites]
 
-    sequential_fetcher = Fetcher(_transport(web))
-    started = time.perf_counter()
-    sequential = [sequential_fetcher.fetch(url, client_country="bd", via_vpn=True)
-                  for url in urls]
-    sequential_s = time.perf_counter() - started
-
-    batched_fetcher = AsyncFetcher(SyncTransportAdapter(_transport(web), blocking=True))
-    started = time.perf_counter()
-    batched = asyncio.run(batched_fetcher.fetch_many(
-        urls, client_country="bd", via_vpn=True, max_in_flight=MAX_IN_FLIGHT))
-    batched_s = time.perf_counter() - started
+    sequential, sequential_s = _fetch_all(web, urls, max_in_flight=1)
+    batched, batched_s = _fetch_all(web, urls, max_in_flight=MAX_IN_FLIGHT)
 
     sequential_rps = len(urls) / sequential_s
     batched_rps = len(urls) / batched_s

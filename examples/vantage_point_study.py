@@ -14,11 +14,11 @@ Run with::
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 from repro.core.extraction import extract_page
 from repro.crawler.fetcher import Fetcher, SimulatedTransport
-from repro.crawler.http import URL
 from repro.crawler.vpn import VantagePoint, VPNManager
 from repro.langid.detector import ScriptDetector
 from repro.webgen.profiles import get_profile
@@ -29,12 +29,12 @@ from repro.webgen.sitegen import SiteGenerator
 def crawl_homepages(web: SyntheticWeb, domains: list[str], vantage: VantagePoint):
     """Fetch each homepage from the given vantage and measure its language."""
     fetcher = Fetcher(SimulatedTransport(web, rng=random.Random(1)))
+    responses = asyncio.run(fetcher.fetch_many(
+        [f"https://{domain}/" for domain in domains],
+        client_country=vantage.country_code, via_vpn=vantage.via_vpn, max_in_flight=8))
     detector = ScriptDetector("th")
     measurements = []
-    for domain in domains:
-        response = fetcher.fetch(URL.parse(f"https://{domain}/"),
-                                 client_country=vantage.country_code,
-                                 via_vpn=vantage.via_vpn)
+    for domain, response in zip(domains, responses):
         if not response.ok:
             measurements.append((domain, None, response.status))
             continue

@@ -140,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and a thread pool otherwise; 'process' uses a process "
                             "pool for CPU-bound scaling (default: auto)")
     build.add_argument("--max-in-flight", type=_positive_int, default=1,
-                       help="concurrent candidate fetches per country shard via the "
-                            "async batched fetch layer; any value produces "
-                            "byte-identical output (default: 1)")
+                       help="concurrent candidate fetches per country shard on one "
+                            "event loop (1 is the sequential walk); any value "
+                            "produces byte-identical output (default: 1)")
     build.add_argument("--sub-shard-size", type=_positive_int, default=None,
                        help="split each country's candidate walk into sub-shards of "
                             "this many candidates so one country can use every "

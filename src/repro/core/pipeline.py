@@ -45,8 +45,8 @@ byte-identical to the sequential walk for every ``(executor, workers,
 sub_shard_size, max_in_flight)`` combination — which is what lets a run
 dominated by one large country scale past one worker.
 
-Within a shard (or sub-shard), ``PipelineConfig.max_in_flight`` controls the
-async batched fetch layer as before.
+Within a shard (or sub-shard), ``PipelineConfig.max_in_flight`` is how many
+candidates the async crawl stack keeps in flight; 1 is the sequential walk.
 
 Across shards, :meth:`LangCrUXPipeline.run` can stream records straight to
 disk through :class:`~repro.core.dataset.StreamingDatasetWriter`
@@ -99,7 +99,7 @@ from repro.core.site_selection import (
     SiteSelector,
 )
 from repro.crawler.crawler import CrawlerConfig, LangCruxCrawler
-from repro.crawler.fetcher import Fetcher, FetcherConfig, SimulatedTransport, SyncTransportAdapter
+from repro.crawler.fetcher import Fetcher, FetcherConfig, SimulatedTransport
 from repro.crawler.metrics import TransportMetrics
 from repro.crawler.records import CrawlRecord
 from repro.crawler.session import CrawlSession
@@ -147,9 +147,8 @@ class PipelineConfig:
         executor: Execution backend — ``"auto"`` (serial for one worker,
             threads otherwise), ``"serial"``, ``"thread"`` or ``"process"``.
         max_in_flight: Concurrent candidate fetches inside one country shard
-            (the async batched fetch layer).  1 keeps the sequential walk;
-            any value produces the same dataset bytes (per-candidate RNG
-            splits).
+            (or sub-shard).  1 is the sequential walk; any value produces
+            the same dataset bytes (per-candidate RNG splits).
         sub_shard_size: When set, each country's candidate rank-walk is cut
             into sub-shards of this many candidates and those become the
             executor's work units, so a single large country can occupy
@@ -333,13 +332,20 @@ def _host_transport_rng(seed: int, country_code: str, host: str) -> random.Rando
     return random.Random(stable_seed(seed, "transport", country_code, host))
 
 
+def _simulated_transport(config: PipelineConfig, country_code: str,
+                         web: SyntheticWeb) -> SimulatedTransport:
+    return SimulatedTransport(
+        web, failure_rate=config.transport_failure_rate,
+        rng_factory=functools.partial(_host_transport_rng, config.seed, country_code))
+
+
 def transport_stack_for_country(config: PipelineConfig, country_code: str,
                                 web: SyntheticWeb) -> TransportStack | None:
     """The country shard's transport stack, or ``None`` for the fast path.
 
     A plain simulated run — no HTTP transport, no crawl cache, no
-    politeness knobs — skips stack assembly entirely and keeps the
-    historical direct-transport wiring.  Anything else composes the
+    politeness knobs — skips stack assembly entirely and sends straight to
+    the simulated transport.  Anything else composes the
     :mod:`repro.crawler.transport` layers around the configured base.
     """
     if config.transport not in TRANSPORT_KINDS:
@@ -360,9 +366,7 @@ def transport_stack_for_country(config: PipelineConfig, country_code: str,
         # byte-identical with and without the stack.
         retry = RetryPolicy(backoff_base_s=config.retry_backoff_s)
     else:
-        base = SyncTransportAdapter(SimulatedTransport(
-            web, failure_rate=config.transport_failure_rate,
-            rng_factory=rng_factory))
+        base = _simulated_transport(config, country_code, web)
         retry = None
     return build_transport_stack(
         base,
@@ -388,37 +392,26 @@ def crawler_for_country(config: PipelineConfig, country_code: str,
     candidates share a stream either — the precondition for the batched
     selection walk being byte-identical to the sequential one.
 
-    With transport extras configured (``transport="http"``, a crawl cache,
-    politeness knobs) the session carries an assembled
-    :class:`~repro.crawler.transport.TransportStack`: the async fetch path
-    sends through it natively, the blocking path through its sync facade,
-    and :meth:`~repro.crawler.session.CrawlSession.close` releases it.
+    The session's one fetcher sends through the assembled
+    :class:`~repro.crawler.transport.TransportStack` when transport extras
+    are configured (``transport="http"``, a crawl cache, politeness knobs),
+    and straight to the simulated web otherwise;
+    :meth:`~repro.crawler.session.CrawlSession.close` releases the stack.
     """
     if vantage is None:
         vantage = vantage_for_country(config, country_code)
     stack = transport_stack_for_country(config, country_code, web)
-    if stack is not None:
-        # When the stack carries its own retry layer (HTTP mode), it is the
-        # single retry authority: the fetcher's identical policy on top
-        # would multiply attempts against persistently failing origins
-        # (4 wire tries become 16) and skew the retry counters.
-        fetcher_config = FetcherConfig(max_retries=0) \
-            if config.transport == "http" else FetcherConfig()
-        fetcher = Fetcher(stack.sync_transport(), fetcher_config)
-        session = CrawlSession(fetcher=fetcher, vantage=vantage,
-                               respect_robots=config.respect_robots,
-                               async_transport=stack.transport,
-                               transport_stack=stack)
-    else:
-        transport = SimulatedTransport(
-            web,
-            failure_rate=config.transport_failure_rate,
-            rng_factory=functools.partial(_host_transport_rng, config.seed,
-                                          country_code),
-        )
-        fetcher = Fetcher(transport, FetcherConfig())
-        session = CrawlSession(fetcher=fetcher, vantage=vantage,
-                               respect_robots=config.respect_robots)
+    transport = stack.transport if stack is not None \
+        else _simulated_transport(config, country_code, web)
+    # When the stack carries its own retry layer (HTTP mode), it is the
+    # single retry authority: the fetcher's identical policy on top would
+    # multiply attempts against persistently failing origins (4 wire tries
+    # become 16) and skew the retry counters.
+    fetcher_config = FetcherConfig(max_retries=0) \
+        if config.transport == "http" else FetcherConfig()
+    session = CrawlSession(fetcher=Fetcher(transport, fetcher_config), vantage=vantage,
+                           respect_robots=config.respect_robots,
+                           transport_stack=stack)
     crawler_config = CrawlerConfig(
         max_pages_per_site=config.max_pages_per_site,
         follow_links=config.max_pages_per_site > 1,

@@ -15,32 +15,34 @@ Architecture: speculative evaluation, rank-ordered commit
 ---------------------------------------------------------
 The walk is split into two halves with different freedom to parallelise:
 
-* **Evaluation** (:meth:`SiteSelector.evaluate`) — crawl one candidate and
-  measure its visible-text native share.  Thanks to the per-candidate RNG
-  split of the simulated transport (``stable_seed(seed, "transport",
-  country, host)``), the result depends on nothing but the candidate, so
-  evaluations may run in any order, concurrently, batched, or speculatively
-  past the quota boundary.
+* **Evaluation** (:meth:`SiteSelector.evaluate_chunk`) — crawl candidates
+  and measure each one's visible-text native share.  Thanks to the
+  per-candidate RNG split of the simulated transport (``stable_seed(seed,
+  "transport", country, host)``), a result depends on nothing but its
+  candidate, so evaluations may run in any order, concurrently, or
+  speculatively past the quota boundary.
 * **Commit** (:class:`RankOrderCommitter`) — apply the paper's
   accept/replace rule to evaluations in *strict rank order*, stopping the
   moment the quota fills.  Evaluations past that point are discarded
   uncounted, so the selected set, every rejection counter and the resulting
-  records are byte-identical to the strictly sequential walk.
+  records are the same for every way of evaluating.
 
-Three dispatch modes share those halves:
+Every crawl runs on the one async stack of :mod:`repro.crawler`, with up to
+``max_in_flight`` candidates in flight on one event loop (``1`` is the
+sequential walk: the same code, one request in flight).  Two walk modes
+share those halves:
 
-* the sequential walk (``max_in_flight == 1``, no executor) — evaluate and
-  commit one candidate at a time, the reference semantics;
-* the batched walk (``max_in_flight > 1``) — prefetch up to
-  ``max_in_flight`` candidates on one event loop, commit in rank order;
-* the **sub-sharded walk** (``sub_shard_size`` + an executor from
-  :mod:`repro.core.executor`) — chunk the ranking into fixed-size
-  sub-shards, evaluate whole sub-shards speculatively on executor workers,
-  and merge their outcomes through the committer.  Sub-shards queued after
-  the quota fills are skipped (serial/thread backends observe the filled
-  flag) or cancelled when the consumer stops iterating; results that still
-  arrive are discarded by the committer.  This is what lets a run dominated
-  by one large country use every worker.
+* the **whole-country walk** (no ``sub_shard_size``) — one event loop for
+  the country: crawl ``max_in_flight`` candidates, commit them in rank
+  order, repeat until the quota fills;
+* the **windowed walk** (``sub_shard_size`` + an executor from
+  :mod:`repro.core.executor`) — chunk the ranking into fixed-size windows,
+  evaluate whole windows speculatively on executor workers (one event loop
+  per window), and merge their outcomes through the committer.  Windows
+  queued after the quota fills are skipped (serial/thread backends observe
+  the filled flag) or cancelled when the consumer stops iterating; results
+  that still arrive are discarded by the committer.  This is what lets a
+  run dominated by one large country use every worker.
 
 Evaluations also carry the parsed :class:`~repro.html.dom.Document` of each
 page (with its cached :class:`~repro.html.index.DocumentIndex` built while
@@ -58,7 +60,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro import perf
 from repro.core.executor import PipelineExecutor, plan_chunks
 from repro.crawler.crawler import LangCruxCrawler
-from repro.crawler.fetcher import run_coroutine
 from repro.crawler.records import CrawlRecord
 from repro.html.dom import Document
 from repro.html.index import ensure_index
@@ -236,12 +237,6 @@ class SiteSelector:
         return CandidateEvaluation(entry=entry, record=record, native_share=share,
                                    documents=documents)
 
-    def evaluate(self, entry: CruxEntry,
-                 crawler: LangCruxCrawler | None = None) -> CandidateEvaluation:
-        """Crawl and measure one candidate speculatively."""
-        crawler = crawler or self.crawler
-        return self._evaluation(entry, crawler.crawl_origin(entry, self.language_code))
-
     def _chunk_crawler(self) -> LangCruxCrawler:
         """The crawler one chunk evaluates on (chunk-local with a factory)."""
         return self.crawler_factory() if self.crawler_factory is not None else self.crawler
@@ -250,20 +245,15 @@ class SiteSelector:
                        max_in_flight: int = 1) -> list[CandidateEvaluation]:
         """Speculatively evaluate a rank-contiguous chunk of candidates.
 
-        The chunk is crawled through a chunk-local crawler when a
-        ``crawler_factory`` is configured, batched-async when
-        ``max_in_flight > 1``.  Results come back in entry order.
+        The chunk is crawled on one event loop with up to ``max_in_flight``
+        candidates in flight, through a chunk-local crawler when a
+        ``crawler_factory`` is configured.  Results come back in entry order.
         """
         entry_list = list(entries)
         if not entry_list:
             return []
-        crawler = self._chunk_crawler()
-        if max_in_flight > 1:
-            records = crawler.crawl_batch(entry_list, self.language_code,
-                                          max_in_flight=max_in_flight)
-        else:
-            records = [crawler.crawl_origin(entry, self.language_code)
-                       for entry in entry_list]
+        records = self._chunk_crawler().crawl_batch(entry_list, self.language_code,
+                                                    max_in_flight=max_in_flight)
         return [self._evaluation(entry, record)
                 for entry, record in zip(entry_list, records)]
 
@@ -293,50 +283,41 @@ class SiteSelector:
         fall below the language threshold are skipped and replaced by the
         next candidate, exactly the paper's replacement rule.
 
-        With ``max_in_flight > 1`` the walk prefetches candidates in batches
-        of that size, keeping up to ``max_in_flight`` origins in flight on a
-        single event loop (one loop and one async fetcher per ``select``
-        call, not per batch).
-
-        With ``sub_shard_size`` set, the ranking is chunked into sub-shards
-        of that size which are evaluated speculatively on ``executor``
-        (serial when none is given) and committed in strict rank order; see
-        the module docstring.  ``max_in_flight`` then applies within each
-        sub-shard.
+        Without ``sub_shard_size`` the whole country is walked on one event
+        loop, crawling ``max_in_flight`` candidates at a time.  With
+        ``sub_shard_size`` set, the ranking is chunked into windows of that
+        size which are evaluated speculatively on ``executor`` (serial when
+        none is given) and committed in strict rank order; see the module
+        docstring.  ``max_in_flight`` then applies within each window.
 
         Every mode evaluates speculatively but commits strictly in rank
         order, so the outcome — selected set, rejection counters,
-        ``candidates_examined`` — is byte-identical to the sequential walk
-        for every ``(executor, workers, sub_shard_size, max_in_flight)``
-        combination.
+        ``candidates_examined`` — is identical for every ``(executor,
+        workers, sub_shard_size, max_in_flight)`` combination.
         """
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
         if sub_shard_size is not None:
             return self._select_subsharded(candidates, quota,
                                            executor=executor,
                                            sub_shard_size=sub_shard_size,
                                            max_in_flight=max_in_flight)
         committer = RankOrderCommitter(quota, self.threshold)
-        if max_in_flight <= 1:
-            for entry in candidates:
-                if committer.filled:
-                    break
-                committer.commit(self.evaluate(entry))
-            return committer.outcome
-        run_coroutine(self._select_batched(iter(candidates), committer, max_in_flight))
+        asyncio.run(self._select_batched(iter(candidates), committer, max_in_flight))
         return committer.outcome
 
     async def _select_batched(self, iterator: Iterator[CruxEntry],
                               committer: RankOrderCommitter,
                               max_in_flight: int) -> None:
-        """The batched walk: crawl ``max_in_flight`` candidates concurrently,
-        commit them in rank order, repeat until the quota fills."""
-        fetcher = self.crawler.session.async_fetcher()
+        """The whole-country walk: crawl ``max_in_flight`` candidates
+        concurrently, commit them in rank order, repeat until the quota
+        fills."""
         while not committer.filled:
             batch = list(itertools.islice(iterator, max_in_flight))
             if not batch:
                 break
             records = await asyncio.gather(
-                *(self.crawler.crawl_origin_async(entry, self.language_code, fetcher)
+                *(self.crawler.crawl_origin(entry, self.language_code)
                   for entry in batch))
             for entry, record in zip(batch, records):
                 if committer.filled:
@@ -347,7 +328,7 @@ class SiteSelector:
                            executor: PipelineExecutor | None,
                            sub_shard_size: int,
                            max_in_flight: int) -> SelectionOutcome:
-        """The chunked walk: speculative sub-shards, rank-ordered merge."""
+        """The windowed walk: speculative windows, rank-ordered merge."""
         from repro.core.executor import SerialExecutor  # cycle-free, tiny
 
         if sub_shard_size < 1:

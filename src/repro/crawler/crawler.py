@@ -11,15 +11,13 @@ discovery: language validation, accessibility extraction and all analyses
 happen downstream on the records, so a crawl can be stored once and
 re-analysed many times (the same separation the paper's pipeline uses).
 
-Two dispatch modes share the per-origin logic:
-
-* :meth:`LangCruxCrawler.crawl_origin` / :meth:`LangCruxCrawler.crawl` — the
-  historical blocking walk, one origin at a time;
-* :meth:`LangCruxCrawler.crawl_batch` — the async batched walk: up to
-  ``max_in_flight`` origins are crawled concurrently on one event loop, and
-  records come back in entry order.  With a per-host RNG-split transport
-  (see :class:`~repro.crawler.fetcher.SimulatedTransport`) every record is
-  identical to what the sequential walk would have produced.
+:meth:`LangCruxCrawler.crawl_origin` is the per-origin walk, a coroutine;
+pages of one origin are fetched strictly in sequence.
+:meth:`LangCruxCrawler.crawl_batch` is the synchronous entry point: it runs
+one event loop with up to ``max_in_flight`` origins in flight and returns
+records in entry order.  With a per-host RNG-split transport (see
+:class:`~repro.crawler.fetcher.SimulatedTransport`) every record is the same
+for any ``max_in_flight``.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from repro.crawler.fetcher import AsyncFetcher, FetchError, run_coroutine
+from repro.crawler.fetcher import FetchError
 from repro.crawler.frontier import Frontier, FrontierEntry
 from repro.crawler.http import Response, URL
 from repro.crawler.records import CrawlRecord, PageSnapshot
@@ -59,12 +57,10 @@ class CrawlerConfig:
 class LangCruxCrawler:
     """Crawls the origins of one country through one session."""
 
-    def __init__(self, session: CrawlSession, config: CrawlerConfig | None = None,
-                 *, progress: Callable[[CrawlRecord], None] | None = None) -> None:
+    def __init__(self, session: CrawlSession, config: CrawlerConfig | None = None) -> None:
         self.session = session
         self.config = config or CrawlerConfig()
         self.session.respect_robots = self.config.respect_robots
-        self._progress = progress
 
     # -- single origin ---------------------------------------------------------
 
@@ -85,16 +81,9 @@ class LangCruxCrawler:
         return PageSnapshot(url=str(url), final_url=str(url), status=error.status or 0,
                             error=str(error))
 
-    def _snapshot(self, url: URL) -> PageSnapshot:
+    async def _snapshot(self, url: URL) -> PageSnapshot:
         try:
-            response = self.session.fetch(url)
-        except FetchError as error:
-            return self._error_snapshot(url, error)
-        return self._snapshot_of(url, response)
-
-    async def _snapshot_async(self, url: URL, fetcher: AsyncFetcher) -> PageSnapshot:
-        try:
-            response = await self.session.fetch_async(url, fetcher)
+            response = await self.session.fetch(url)
         except FetchError as error:
             return self._error_snapshot(url, error)
         return self._snapshot_of(url, response)
@@ -149,63 +138,37 @@ class LangCruxCrawler:
                                        country_code=entry.country_code,
                                        depth=depth + 1))
 
-    def crawl_origin(self, entry: CruxEntry, language_code: str) -> CrawlRecord:
-        """Crawl one origin and return its record."""
-        origin = URL.parse(f"https://{entry.origin}/")
-        record, frontier = self._start_record(entry, language_code)
-        while len(record.pages) < self.config.max_pages_per_site:
-            frontier_entry = frontier.pop()
-            if frontier_entry is None:
-                break
-            if not self.session.allowed(frontier_entry.url):
-                continue
-            snapshot = self._snapshot(frontier_entry.url)
-            record.pages.append(snapshot)
-            self._schedule_links(frontier, snapshot, origin, entry, frontier_entry.depth)
-        return record
+    async def crawl_origin(self, entry: CruxEntry, language_code: str) -> CrawlRecord:
+        """Crawl one origin and return its record.
 
-    async def crawl_origin_async(self, entry: CruxEntry, language_code: str,
-                                 fetcher: AsyncFetcher | None = None) -> CrawlRecord:
-        """Async twin of :meth:`crawl_origin` — same walk, awaitable fetches.
-
-        Pages of one origin are still fetched strictly in sequence (the
-        frontier's politeness contract); concurrency lives one level up, in
-        :meth:`crawl_batch`, where independent origins overlap.
+        Pages of one origin are fetched strictly in sequence (the frontier's
+        politeness contract); concurrency lives one level up, where
+        independent origins overlap on one event loop.
         """
-        fetcher = fetcher or self.session.async_fetcher()
         origin = URL.parse(f"https://{entry.origin}/")
         record, frontier = self._start_record(entry, language_code)
         while len(record.pages) < self.config.max_pages_per_site:
             frontier_entry = frontier.pop()
             if frontier_entry is None:
                 break
-            if not await self.session.allowed_async(frontier_entry.url, fetcher):
+            if not await self.session.allowed(frontier_entry.url):
                 continue
-            snapshot = await self._snapshot_async(frontier_entry.url, fetcher)
+            snapshot = await self._snapshot(frontier_entry.url)
             record.pages.append(snapshot)
             self._schedule_links(frontier, snapshot, origin, entry, frontier_entry.depth)
         return record
 
     # -- many origins ------------------------------------------------------------
 
-    def crawl(self, entries: Iterable[CruxEntry], language_code: str) -> Iterator[CrawlRecord]:
-        """Crawl ``entries`` in order, yielding one record per origin."""
-        for entry in entries:
-            record = self.crawl_origin(entry, language_code)
-            if self._progress is not None:
-                self._progress(record)
-            yield record
-
     def crawl_batch(self, entries: Sequence[CruxEntry] | Iterable[CruxEntry],
                     language_code: str, *, max_in_flight: int = 8,
                     window: tuple[int, int] | None = None) -> list[CrawlRecord]:
         """Crawl ``entries`` with up to ``max_in_flight`` origins in flight.
 
-        Returns records in entry order; progress callbacks also fire in entry
-        order, once the whole batch has settled.  Determinism relative to the
-        sequential walk requires a per-host RNG-split transport — with a
-        shared transport RNG the interleaving would change each origin's
-        draws.
+        Runs one event loop for the whole batch and returns records in entry
+        order.  Determinism across ``max_in_flight`` values requires a
+        per-host RNG-split transport — with a shared transport RNG the
+        interleaving would change each origin's draws.
 
         ``window`` restricts the batch to the ``[start, stop)`` slice of
         ``entries`` — the shape a sub-sharded selection walk hands out — so
@@ -222,17 +185,12 @@ class LangCruxCrawler:
         entry_list = list(entries)
 
         async def batch() -> list[CrawlRecord]:
-            fetcher = self.session.async_fetcher()
             semaphore = asyncio.Semaphore(max_in_flight)
 
             async def one(entry: CruxEntry) -> CrawlRecord:
                 async with semaphore:
-                    return await self.crawl_origin_async(entry, language_code, fetcher)
+                    return await self.crawl_origin(entry, language_code)
 
             return list(await asyncio.gather(*(one(entry) for entry in entry_list)))
 
-        records = run_coroutine(batch())
-        if self._progress is not None:
-            for record in records:
-                self._progress(record)
-        return records
+        return asyncio.run(batch())

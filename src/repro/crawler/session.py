@@ -1,45 +1,25 @@
 """Crawl sessions bound to a vantage point.
 
-A :class:`CrawlSession` packages a fetcher together with the vantage point
-(VPN exit) it crawls from, plus robots handling and a virtual clock.  The
-LangCrUX crawler creates one session per country, mirroring the paper's
-per-country VPN configuration.
+A :class:`CrawlSession` packages one :class:`~repro.crawler.fetcher.Fetcher`
+together with the vantage point (VPN exit) it crawls from, plus robots
+handling and a virtual clock.  The LangCrUX crawler creates one session per
+country, mirroring the paper's per-country VPN configuration.
 
-Sessions expose the fetch path twice: the historical blocking methods
-(:meth:`CrawlSession.fetch`, :meth:`CrawlSession.allowed`) and async
-counterparts (:meth:`CrawlSession.fetch_async`,
-:meth:`CrawlSession.allowed_async`) driven by an
-:class:`~repro.crawler.fetcher.AsyncFetcher` over the same transport, same
-retry policy and same stats counters.  :meth:`CrawlSession.fetch_batch` is
-the sync facade over the async path: it issues up to ``max_in_flight``
-concurrent requests and returns responses in input order.
-
-A session's transport comes in one of two shapes:
-
-* the historical blocking one — ``fetcher.transport`` is a sync
-  ``Transport`` (the simulated web), and the async path lifts it through a
-  :class:`~repro.crawler.fetcher.SyncTransportAdapter`;
-* an async-native stack from :mod:`repro.crawler.transport` — set
-  :attr:`CrawlSession.async_transport` (typically
-  ``TransportStack.transport``) and the async path sends through it
-  directly, while the blocking ``fetcher`` drives the same stack through
-  its sync adapter.  :meth:`CrawlSession.close` releases the stack's pooled
-  connections and cache handles when one is attached.
+Fetching is asynchronous: :meth:`CrawlSession.fetch` and
+:meth:`CrawlSession.allowed` are coroutines over the session's one fetcher
+and its transport, whether that is the simulated web or an assembled
+:class:`~repro.crawler.transport.TransportStack`.  Many fetches may be in
+flight on one event loop; a sequential crawl simply has one.
+:meth:`CrawlSession.close` releases the stack's pooled connections and
+cache handles when one is attached.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
-from repro.crawler.fetcher import (
-    AsyncFetcher,
-    Fetcher,
-    FetchError,
-    SyncTransportAdapter,
-    run_coroutine,
-)
+from repro.crawler.fetcher import Fetcher, FetchError
 from repro.crawler.http import Response, URL
 from repro.crawler.robots import RobotsPolicy, parse_robots_txt
 from repro.crawler.vpn import VantagePoint
@@ -75,28 +55,19 @@ class CrawlSession:
     """A fetcher bound to a vantage point, with robots caching.
 
     Attributes:
-        fetcher: The underlying fetcher.
+        fetcher: The session's fetcher (and, through it, its transport).
         vantage: The VPN exit (or cloud vantage) this session crawls from.
         clock: The session's virtual clock, advanced by response latencies.
         respect_robots: Whether to consult robots.txt before page fetches.
-        blocking_transport: Whether the transport's ``send`` genuinely blocks
-            (a real HTTP client would; the simulated transport does not).
-            When true, batched fetches offload sends to worker threads so
-            in-flight requests overlap.
-        async_transport: An async-native transport (e.g. an assembled
-            :class:`~repro.crawler.transport.TransportStack`'s outermost
-            layer).  When set, :meth:`async_fetcher` sends through it
-            directly instead of adapting ``fetcher.transport``.
-        transport_stack: The owning stack, kept so :meth:`close` can release
-            its resources (pooled connections, cache manifests).
+        transport_stack: The :class:`~repro.crawler.transport.TransportStack`
+            the fetcher sends through, if any, kept so :meth:`close` can
+            release its resources (pooled connections, cache manifests).
     """
 
     fetcher: Fetcher
     vantage: VantagePoint
     clock: VirtualClock = field(default_factory=VirtualClock)
     respect_robots: bool = True
-    blocking_transport: bool = False
-    async_transport: object | None = None
     transport_stack: object | None = None
     _robots_cache: dict[str, RobotsPolicy] = field(default_factory=dict)
 
@@ -108,116 +79,37 @@ class CrawlSession:
 
     # -- robots ----------------------------------------------------------------
 
-    def _policy_from(self, response: Response) -> RobotsPolicy:
-        if response.ok and response.body:
-            return parse_robots_txt(response.body)
-        return RobotsPolicy.allow_all()
-
-    def _robots_for(self, url: URL) -> RobotsPolicy:
-        if url.host in self._robots_cache:
-            return self._robots_cache[url.host]
-        robots_url = url.with_path("/robots.txt")
-        try:
-            response = self.fetcher.fetch(robots_url,
-                                          client_country=self.vantage.country_code,
-                                          via_vpn=self.vantage.via_vpn)
-            policy = self._policy_from(response)
-        except FetchError:
-            policy = RobotsPolicy.allow_all()
-        self._robots_cache[url.host] = policy
-        return policy
-
-    def allowed(self, url: URL | str) -> bool:
-        """Whether robots rules allow fetching ``url`` from this session."""
-        if not self.respect_robots:
-            return True
-        parsed = url if isinstance(url, URL) else URL.parse(url)
-        policy = self._robots_for(parsed)
-        return policy.can_fetch(self.fetcher.config.user_agent, parsed.path)
-
-    # -- blocking fetch ---------------------------------------------------------
-
-    def fetch(self, url: URL | str) -> Response:
-        """Fetch ``url`` from this session's vantage, advancing the clock."""
-        response = self.fetcher.fetch(url,
-                                      client_country=self.vantage.country_code,
-                                      via_vpn=self.vantage.via_vpn)
-        self.clock.advance(response.elapsed_ms / 1000.0)
-        return response
-
-    # -- async fetch -------------------------------------------------------------
-
-    def async_fetcher(self) -> AsyncFetcher:
-        """An async fetcher over this session's transport and stats.
-
-        Each call builds a fresh (cheap) instance so one event loop never
-        outlives its fetcher; the transport, retry policy and stats dict are
-        shared with the blocking :attr:`fetcher`.  Sessions with an
-        async-native :attr:`async_transport` send through it directly;
-        otherwise the blocking transport is lifted through a
-        :class:`~repro.crawler.fetcher.SyncTransportAdapter`.
-        """
-        if self.async_transport is not None:
-            return AsyncFetcher(self.async_transport, self.fetcher.config,
-                                stats=self.fetcher.stats)
-        adapter = SyncTransportAdapter(self.fetcher.transport,
-                                       blocking=self.blocking_transport)
-        return AsyncFetcher(adapter, self.fetcher.config, stats=self.fetcher.stats)
-
-    async def _robots_for_async(self, url: URL, fetcher: AsyncFetcher) -> RobotsPolicy:
+    async def _robots_for(self, url: URL) -> RobotsPolicy:
         # One candidate per origin means concurrent tasks touch distinct
         # hosts, so a per-host cache entry is filled by exactly one task.
         if url.host in self._robots_cache:
             return self._robots_cache[url.host]
         robots_url = url.with_path("/robots.txt")
         try:
-            response = await fetcher.fetch(robots_url,
-                                           client_country=self.vantage.country_code,
-                                           via_vpn=self.vantage.via_vpn)
-            policy = self._policy_from(response)
+            response = await self.fetcher.fetch(robots_url,
+                                                client_country=self.vantage.country_code,
+                                                via_vpn=self.vantage.via_vpn)
+            policy = parse_robots_txt(response.body) if response.ok and response.body \
+                else RobotsPolicy.allow_all()
         except FetchError:
             policy = RobotsPolicy.allow_all()
         self._robots_cache[url.host] = policy
         return policy
 
-    async def allowed_async(self, url: URL | str,
-                            fetcher: AsyncFetcher | None = None) -> bool:
-        """Async variant of :meth:`allowed`."""
+    async def allowed(self, url: URL | str) -> bool:
+        """Whether robots rules allow fetching ``url`` from this session."""
         if not self.respect_robots:
             return True
         parsed = url if isinstance(url, URL) else URL.parse(url)
-        policy = await self._robots_for_async(parsed, fetcher or self.async_fetcher())
+        policy = await self._robots_for(parsed)
         return policy.can_fetch(self.fetcher.config.user_agent, parsed.path)
 
-    async def fetch_async(self, url: URL | str,
-                          fetcher: AsyncFetcher | None = None) -> Response:
-        """Async variant of :meth:`fetch` (advances the clock identically)."""
-        response = await (fetcher or self.async_fetcher()).fetch(
-            url, client_country=self.vantage.country_code,
-            via_vpn=self.vantage.via_vpn)
+    # -- fetch -------------------------------------------------------------------
+
+    async def fetch(self, url: URL | str) -> Response:
+        """Fetch ``url`` from this session's vantage, advancing the clock."""
+        response = await self.fetcher.fetch(url,
+                                            client_country=self.vantage.country_code,
+                                            via_vpn=self.vantage.via_vpn)
         self.clock.advance(response.elapsed_ms / 1000.0)
         return response
-
-    def fetch_batch(self, urls: Sequence[URL | str] | Iterable[URL | str], *,
-                    max_in_flight: int = 8,
-                    return_exceptions: bool = False) -> list[Response]:
-        """Fetch ``urls`` concurrently from this vantage, in input order.
-
-        The sync facade over the async stack: at most ``max_in_flight``
-        requests are in flight at once, and the clock advances by every
-        response's latency (batch wall-clock accounting is the scheduler's
-        concern, not the session's).
-        """
-
-        async def batch() -> list[Response]:
-            fetcher = self.async_fetcher()
-            responses = await fetcher.fetch_many(
-                urls, client_country=self.vantage.country_code,
-                via_vpn=self.vantage.via_vpn, max_in_flight=max_in_flight,
-                return_exceptions=return_exceptions)
-            for response in responses:
-                if isinstance(response, Response):
-                    self.clock.advance(response.elapsed_ms / 1000.0)
-            return responses
-
-        return run_coroutine(batch())

@@ -1,6 +1,6 @@
 """Production HTTP transport subsystem.
 
-Everything between the crawler's :class:`~repro.crawler.fetcher.AsyncTransport`
+Everything between the crawler's :class:`~repro.crawler.fetcher.Transport`
 protocol and an actual network socket lives here, as a stack of small,
 independently testable layers that compose around any base transport::
 
@@ -9,7 +9,6 @@ independently testable layers that compose around any base transport::
         PoliteTransport       per-host token bucket, concurrency cap, robots
           InstrumentedTransport   counts what actually reaches the wire
             HttpAsyncTransport    real HTTP/1.1 with connection pooling
-            (or SyncTransportAdapter over SimulatedTransport)
 
 * :class:`HttpAsyncTransport` is the asyncio-native wire transport: stdlib
   ``http.client`` under :func:`asyncio.to_thread` (no third-party HTTP
@@ -59,7 +58,7 @@ from pathlib import Path
 from typing import Callable
 import random
 
-from repro.crawler.fetcher import AsyncTransport, FetchError, Transport, run_coroutine
+from repro.crawler.fetcher import FetchError, Transport
 from repro.crawler.http import (
     CLIENT_COUNTRY_HEADER,
     Headers,
@@ -76,8 +75,21 @@ from repro.crawler.robots import RobotsCache, RobotsPolicy, parse_robots_txt
 from repro.obs import trace as obs_trace
 
 
+#: Largest response body :class:`HttpAsyncTransport` reads; a longer body
+#: fails the fetch with :class:`ResponseTooLargeError`.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
 class RobotsDisallowedError(FetchError):
     """Raised when the politeness layer refuses a robots-disallowed fetch."""
+
+
+class ResponseTooLargeError(FetchError):
+    """Raised when a response body exceeds :data:`MAX_BODY_BYTES`.
+
+    Permanent, so :class:`RetryingTransport` does not retry it: the site
+    fails through the crawler's failed-fetch path instead.
+    """
 
 
 # -- the wire transport --------------------------------------------------------------
@@ -96,7 +108,7 @@ def parse_netloc(netloc: str) -> tuple[str, int]:
 
 
 class HttpAsyncTransport:
-    """A real-HTTP :class:`~repro.crawler.fetcher.AsyncTransport`.
+    """A real-HTTP :class:`~repro.crawler.fetcher.Transport`.
 
     Sends requests over actual sockets with stdlib ``http.client``,
     offloaded to worker threads via :func:`asyncio.to_thread` so in-flight
@@ -122,10 +134,11 @@ class HttpAsyncTransport:
         metrics: Shared counters (connections opened/reused).
 
     Raises:
-        FetchError: From :meth:`send`, for socket errors, timeouts and
-            malformed responses.  HTTP error *statuses* are returned as
-            normal responses — deciding what a 404 means is the caller's
-            job, exactly like the simulated transport.
+        FetchError: From :meth:`send`, for socket errors, timeouts,
+            malformed responses and bodies over :data:`MAX_BODY_BYTES`
+            (:class:`ResponseTooLargeError`).  HTTP error *statuses* are
+            returned as normal responses — deciding what a 404 means is the
+            caller's job, exactly like the simulated transport.
     """
 
     def __init__(self, gateway: str | tuple[str, int] | None = None, *,
@@ -217,7 +230,7 @@ class HttpAsyncTransport:
             try:
                 connection.request(request.method, path, headers=headers)
                 raw = connection.getresponse()
-                body_bytes = raw.read()
+                body_bytes = raw.read(MAX_BODY_BYTES + 1)
             except (http.client.BadStatusLine, http.client.RemoteDisconnected,
                     ConnectionResetError, BrokenPipeError) as error:
                 connection.close()
@@ -230,6 +243,13 @@ class HttpAsyncTransport:
                 connection.close()
                 raise FetchError(f"request failed fetching {request.url}: {error}",
                                  url=request.url) from error
+            if len(body_bytes) > MAX_BODY_BYTES:
+                # The rest of the body is still on the wire: the connection
+                # cannot go back to the pool.
+                connection.close()
+                raise ResponseTooLargeError(
+                    f"response body over {MAX_BODY_BYTES} bytes fetching {request.url}",
+                    url=request.url)
             if self.metrics is not None and reused:
                 self.metrics.add("connections_reused")
             response_headers = Headers()
@@ -271,7 +291,7 @@ class InstrumentedTransport:
     check pins at zero on a warm re-run.
     """
 
-    def __init__(self, inner: AsyncTransport, metrics: TransportMetrics) -> None:
+    def __init__(self, inner: Transport, metrics: TransportMetrics) -> None:
         self.inner = inner
         self.metrics = metrics
 
@@ -324,7 +344,7 @@ class _TokenBucket:
 
 
 class PoliteTransport:
-    """Per-host politeness around any :class:`AsyncTransport`.
+    """Per-host politeness around any :class:`Transport`.
 
     Three independent behaviours, each optional:
 
@@ -346,7 +366,7 @@ class PoliteTransport:
     virtually; production uses monotonic time and :func:`asyncio.sleep`.
     """
 
-    def __init__(self, inner: AsyncTransport, *,
+    def __init__(self, inner: Transport, *,
                  rate_per_host: float | None = None, burst: float = 1.0,
                  max_per_host: int | None = None,
                  respect_robots: bool = False,
@@ -371,7 +391,7 @@ class PoliteTransport:
         self._buckets: dict[str, _TokenBucket] = {}
         self._robots = RobotsCache(max_age_s=robots_max_age_s, clock=clock)
         # Semaphores are asyncio primitives and must not leak across event
-        # loops (each sync facade call runs its own loop), so the per-host
+        # loops (each window or country walk runs its own loop), so the per-host
         # entry records which loop it belongs to and is rebuilt whenever a
         # different loop shows up — one live entry per host, never more.
         self._semaphores: dict[str, tuple[int, asyncio.Semaphore]] = {}
@@ -495,7 +515,7 @@ class RetryingTransport:
     what other hosts are doing on the same loop.
     """
 
-    def __init__(self, inner: AsyncTransport, policy: RetryPolicy | None = None, *,
+    def __init__(self, inner: Transport, policy: RetryPolicy | None = None, *,
                  rng_factory: Callable[[str], random.Random] | None = None,
                  metrics: TransportMetrics | None = None,
                  sleep: Callable[[float], "asyncio.Future | None"] | None = None) -> None:
@@ -539,8 +559,8 @@ class RetryingTransport:
             last_attempt = attempt == self.policy.max_retries
             try:
                 response = await self.inner.send(request)
-            except RobotsDisallowedError:
-                raise  # a policy decision, not a transient failure
+            except (RobotsDisallowedError, ResponseTooLargeError):
+                raise  # a policy decision or a permanent failure, not a transient one
             except FetchError:
                 if last_attempt:
                     raise
@@ -640,7 +660,7 @@ class _ManifestIndex:
 
 
 class CachingTransport:
-    """An on-disk crawl cache around any :class:`AsyncTransport`.
+    """An on-disk crawl cache around any :class:`Transport`.
 
     Layout under ``cache_dir``::
 
@@ -697,7 +717,7 @@ class CachingTransport:
     _SHARED_INDEXES: dict[Path, _ManifestIndex] = {}
     _SHARED_LOCK = threading.Lock()
 
-    def __init__(self, inner: AsyncTransport, cache_dir: str | Path, *,
+    def __init__(self, inner: Transport, cache_dir: str | Path, *,
                  metrics: TransportMetrics | None = None,
                  refresh: bool = False, shared_index: bool = True,
                  fsync: str = "close") -> None:
@@ -924,24 +944,6 @@ def compact_cache(cache_dir: str | Path, *,
 # -- composition --------------------------------------------------------------------
 
 
-class AsyncTransportSyncAdapter:
-    """Lifts an :class:`AsyncTransport` into the blocking ``Transport`` protocol.
-
-    The inverse of :class:`~repro.crawler.fetcher.SyncTransportAdapter`:
-    each ``send`` drives one event loop to completion, which lets the
-    historical blocking fetch path (``CrawlSession.fetch`` →
-    ``Fetcher.fetch``) run over an async-native stack unchanged.  Callers
-    must not already be inside a running loop — the same contract as
-    :func:`~repro.crawler.fetcher.run_coroutine`.
-    """
-
-    def __init__(self, inner: AsyncTransport) -> None:
-        self.inner = inner
-
-    def send(self, request: Request) -> Response:
-        return run_coroutine(self.inner.send(request))
-
-
 @dataclass
 class TransportStack:
     """An assembled transport stack and the handles the pipeline needs.
@@ -952,7 +954,7 @@ class TransportStack:
         closers: Layer ``close()`` callbacks, outermost first.
     """
 
-    transport: AsyncTransport
+    transport: Transport
     metrics: TransportMetrics
     closers: tuple[Callable[[], None], ...] = ()
 
@@ -961,12 +963,8 @@ class TransportStack:
         for closer in self.closers:
             closer()
 
-    def sync_transport(self) -> Transport:
-        """The stack as a blocking ``Transport`` (one event loop per send)."""
-        return AsyncTransportSyncAdapter(self.transport)
 
-
-def build_transport_stack(base: AsyncTransport, *,
+def build_transport_stack(base: Transport, *,
                           metrics: TransportMetrics | None = None,
                           retry: RetryPolicy | None = None,
                           rng_factory: Callable[[str], random.Random] | None = None,
@@ -993,7 +991,7 @@ def build_transport_stack(base: AsyncTransport, *,
         closers.append(base_close)
     if getattr(base, "metrics", False) is None:
         base.metrics = stack_metrics  # adopt the stack's shared counters
-    transport: AsyncTransport = InstrumentedTransport(base, stack_metrics)
+    transport: Transport = InstrumentedTransport(base, stack_metrics)
     if rate_per_host is not None or max_per_host is not None or respect_robots:
         transport = PoliteTransport(transport, rate_per_host=rate_per_host,
                                     burst=burst, max_per_host=max_per_host,

@@ -10,15 +10,18 @@ import threading
 
 import pytest
 
-from repro.crawler.fetcher import AsyncFetcher, FetchError, SyncTransportAdapter
+from repro.crawler import transport as transport_module
+from repro.crawler.crawler import LangCruxCrawler
+from repro.crawler.fetcher import Fetcher, FetcherConfig, FetchError, SimulatedTransport
 from repro.crawler.http import Headers, Request, Response, URL
 from repro.crawler.metrics import TransportMetrics
+from repro.crawler.session import CrawlSession
 from repro.crawler.transport import (
-    AsyncTransportSyncAdapter,
     CachingTransport,
     HttpAsyncTransport,
     InstrumentedTransport,
     PoliteTransport,
+    ResponseTooLargeError,
     RetryPolicy,
     RetryingTransport,
     RobotsDisallowedError,
@@ -27,6 +30,8 @@ from repro.crawler.transport import (
     parse_netloc,
 )
 from repro.webgen.profiles import get_profile
+from repro.crawler.vpn import VPNManager
+from repro.webgen.crux import CruxEntry
 from repro.webgen.server import LocalSiteServer, SyntheticWeb
 from repro.webgen.sitegen import SiteGenerator, stable_seed
 
@@ -164,7 +169,7 @@ class TestHttpAsyncTransport:
     def test_fetcher_over_live_transport_follows_redirects(self, synthetic_web,
                                                            live_server) -> None:
         transport = HttpAsyncTransport(gateway=live_server.gateway)
-        fetcher = AsyncFetcher(transport)
+        fetcher = Fetcher(transport)
         try:
             for domain in synthetic_web.domains():
                 response = asyncio.run(fetcher.fetch(
@@ -186,6 +191,45 @@ class TestHttpAsyncTransport:
         transport.close()
         with pytest.raises(FetchError):
             _send(transport, _request("any.example"))
+
+    def test_oversize_body_fails_and_is_not_pooled(self, synthetic_web, live_server,
+                                                   monkeypatch) -> None:
+        monkeypatch.setattr(transport_module, "MAX_BODY_BYTES", 64)
+        domain = synthetic_web.domains()[0]
+        metrics = TransportMetrics()
+        transport = HttpAsyncTransport(gateway=live_server.gateway, metrics=metrics)
+        try:
+            for _ in range(2):
+                with pytest.raises(ResponseTooLargeError):
+                    _send(transport, _request(domain))
+        finally:
+            transport.close()
+        # The unread rest of the body poisons the connection: each oversize
+        # response closes its connection instead of returning it to the pool.
+        assert metrics.connections_opened == 2
+        assert metrics.connections_reused == 0
+
+    def test_oversize_homepage_fails_the_site_without_retries(
+            self, synthetic_web, live_server, monkeypatch) -> None:
+        monkeypatch.setattr(transport_module, "MAX_BODY_BYTES", 200)
+        domain = next(domain for domain in synthetic_web.domains()
+                      if not synthetic_web.site(domain).blocks_vpn
+                      and not synthetic_web.request(domain, "/").is_redirect)
+        stack = build_transport_stack(HttpAsyncTransport(gateway=live_server.gateway),
+                                      retry=RetryPolicy(backoff_base_s=0.0))
+        session = CrawlSession(fetcher=Fetcher(stack.transport,
+                                               FetcherConfig(max_retries=0)),
+                               vantage=VPNManager().vantage_for("bd"),
+                               transport_stack=stack)
+        try:
+            [record] = LangCruxCrawler(session).crawl_batch(
+                [CruxEntry(domain, 1, "bd")], "bn", max_in_flight=1)
+        finally:
+            session.close()
+        assert not record.succeeded
+        assert record.pages[0].status == 0
+        assert "response body over 200 bytes" in record.pages[0].error
+        assert stack.metrics.retries == 0
 
 
 class TestPoliteTransport:
@@ -356,6 +400,14 @@ class TestRetryingTransport:
         inner = ScriptedTransport({url: [RobotsDisallowedError("no")]})
         retrying = RetryingTransport(inner, RetryPolicy(backoff_base_s=0.0))
         with pytest.raises(RobotsDisallowedError):
+            _send(retrying, _request("one.example"))
+        assert len(inner.sent) == 1
+
+    def test_oversize_body_is_not_retried(self) -> None:
+        url = "https://one.example/"
+        inner = ScriptedTransport({url: [ResponseTooLargeError("huge")]})
+        retrying = RetryingTransport(inner, RetryPolicy(backoff_base_s=0.0))
+        with pytest.raises(ResponseTooLargeError):
             _send(retrying, _request("one.example"))
         assert len(inner.sent) == 1
 
@@ -600,18 +652,8 @@ class TestComposition:
         assert stack.metrics.network_requests == 1
         assert stack.metrics.cache_hits == 1
 
-    def test_sync_adapter_drives_the_async_stack(self) -> None:
-        stack = build_transport_stack(ScriptedTransport())
-        sync = stack.sync_transport()
-        response = sync.send(_request("one.example"))
-        assert response.status == 200
-        assert stack.metrics.network_requests == 1
-
     def test_stack_over_simulated_transport(self, synthetic_web, tmp_path) -> None:
-        from repro.crawler.fetcher import SimulatedTransport
-
-        base = SyncTransportAdapter(SimulatedTransport(synthetic_web))
-        stack = build_transport_stack(base, cache_dir=tmp_path)
+        stack = build_transport_stack(SimulatedTransport(synthetic_web), cache_dir=tmp_path)
         domain = synthetic_web.domains()[0]
         cold = _send(stack.transport, _request(domain))
         warm = _send(stack.transport, _request(domain))

@@ -121,10 +121,24 @@ def test_sigkilled_worker_lease_is_reissued_and_output_identical(tmp_path):
         "CrawlWorker(sys.argv[1], heartbeat_interval_s=0.1,\n"
         "            poll_interval_s=0.02).run()\n",
         encoding="utf-8")
+    # The coordinator's own workers join only once the doomed worker is
+    # dead, so the doomed worker claims the first window — one the merge
+    # cannot finish without — and its lease must be re-issued.
+    released = tmp_path / "doomed-killed"
+    gated_script = tmp_path / "gated_worker.py"
+    gated_script.write_text(
+        "import os, sys, time\n"
+        "while not os.path.exists(sys.argv[2]):\n"
+        "    time.sleep(0.02)\n"
+        "from repro.dist.worker import CrawlWorker\n"
+        "CrawlWorker(sys.argv[1]).run()\n",
+        encoding="utf-8")
     doomed = subprocess.Popen([sys.executable, str(doomed_script),
                                str(queue_dir)], env=os.environ.copy())
     coordinator = Coordinator(config, queue_dir, out, workers=2,
-                              lease_timeout_s=1.0, poll_interval_s=0.02)
+                              lease_timeout_s=1.0, poll_interval_s=0.02,
+                              worker_command=[sys.executable, str(gated_script),
+                                              str(queue_dir), str(released)])
     outcome: dict = {}
 
     def run() -> None:
@@ -157,6 +171,7 @@ def test_sigkilled_worker_lease_is_reissued_and_output_identical(tmp_path):
         if doomed.poll() is None:
             doomed.kill()
             doomed.wait()
+        released.touch()
         thread.join(timeout=120.0)
     assert not thread.is_alive()
     assert "error" not in outcome, outcome.get("error")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -59,7 +60,8 @@ class TestCrawlerHonoursRobots:
         if not blocked:
             pytest.skip("no disallow-all site in this sample")
         crawler = self._crawler(web)
-        record = crawler.crawl_origin(CruxEntry(blocked[0].domain, 1, "ru"), "ru")
+        entry = CruxEntry(blocked[0].domain, 1, "ru")
+        record = asyncio.run(crawler.crawl_origin(entry, "ru"))
         assert record.pages == []
         assert not record.succeeded
 
@@ -70,5 +72,6 @@ class TestCrawlerHonoursRobots:
         if not partial:
             pytest.skip("no partial-disallow site in this sample")
         crawler = self._crawler(web)
-        record = crawler.crawl_origin(CruxEntry(partial[0].domain, 1, "ru"), "ru")
+        entry = CruxEntry(partial[0].domain, 1, "ru")
+        record = asyncio.run(crawler.crawl_origin(entry, "ru"))
         assert record.succeeded
