@@ -79,6 +79,11 @@ class CrawlSession:
 
     # -- robots ----------------------------------------------------------------
 
+    def _policy_from(self, response: Response) -> RobotsPolicy:
+        if response.ok and response.body:
+            return parse_robots_txt(response.body)
+        return RobotsPolicy.allow_all()
+
     async def _robots_for(self, url: URL) -> RobotsPolicy:
         # One candidate per origin means concurrent tasks touch distinct
         # hosts, so a per-host cache entry is filled by exactly one task.
@@ -89,8 +94,7 @@ class CrawlSession:
             response = await self.fetcher.fetch(robots_url,
                                                 client_country=self.vantage.country_code,
                                                 via_vpn=self.vantage.via_vpn)
-            policy = parse_robots_txt(response.body) if response.ok and response.body \
-                else RobotsPolicy.allow_all()
+            policy = self._policy_from(response)
         except FetchError:
             policy = RobotsPolicy.allow_all()
         self._robots_cache[url.host] = policy
